@@ -1,14 +1,15 @@
 # Tier-1 verification and common chores. `make verify` is the gate a
 # change must pass before it lands: release build, the full workspace
 # test suite (including the exhaustive fail-point sweep and the
-# baseline/leak-check proptests), clippy with warnings denied, and the
-# documentation gates (rustdoc warnings denied, doctests).
+# baseline/leak-check proptests), clippy with warnings denied, the
+# documentation gates (rustdoc warnings denied, doctests), and the
+# benchmark's own tests.
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy doc doctest doclinks leakcheck stress bench-smoke bench-tables trace-demo clean
+.PHONY: verify build test clippy doc doctest doclinks perfbench-test leakcheck stress bench-smoke bench-tables trace-demo clean
 
-verify: build test clippy doc doctest doclinks stress bench-smoke
+verify: build test clippy doc doctest doclinks perfbench-test stress bench-smoke
 
 build:
 	$(CARGO) build --release
@@ -33,6 +34,12 @@ doctest:
 # BENCHMARKS cross-reference web must stay intact.
 doclinks:
 	$(CARGO) test -q -p forkroad --test doc_links
+
+# perfbench is a workspace of its own that builds the simulator's crates
+# through path dependencies, so an API change that breaks the benchmark
+# surfaces here rather than first in a benchmark run.
+perfbench-test:
+	$(CARGO) test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # The fault-injection acceptance gate on its own: every fail point of
 # every creation API and of the swap tier (slot alloc, swap-out,

@@ -90,12 +90,12 @@ impl Os {
         Os::assemble(kernel, init, &cfg)
     }
 
-    /// Boots one SMP *cell*: the same facade as [`Os::boot`], but the
-    /// kernel draws frames, PIDs, TLB rounds and the OOM trigger from the
-    /// machine-wide [`fpr_kernel::SmpShared`] instead of owning them.
-    /// Cells booted from one `SmpShared` can run on different OS threads
-    /// (see `crate::smp::SmpOs`) while every machine-wide resource stays
-    /// conserved.
+    /// Boots one SMP *cell*: the same facade as [`Os::boot`], but cell
+    /// `cell` of the machine-wide [`fpr_kernel::SmpShared`] (where
+    /// `Os::boot` is the one cell of a machine of its own), with a frame
+    /// magazine. Cells booted from one `SmpShared` can run on different
+    /// OS threads (see `crate::smp::SmpOs`) while every machine-wide
+    /// resource stays conserved.
     pub fn boot_smp(cfg: OsConfig, shared: &fpr_kernel::SmpShared, cell: usize) -> Os {
         let mut kernel = fpr_kernel::Kernel::new_smp(cfg.machine.clone(), shared, cell);
         let init = kernel.create_init("init").expect("fresh cell boots");

@@ -112,21 +112,19 @@ pub struct Kernel {
     pub(crate) reclaim_stats: crate::reclaim::ReclaimStats,
     /// Whether new address spaces get transparent huge pages.
     pub(crate) thp: bool,
-    /// The machine-wide PID table and this cell's home shard, when this
-    /// kernel is one SMP cell. `None` (the default) keeps PID allocation
-    /// on the private [`PidAllocator`], byte-identical to the
-    /// single-kernel machine.
-    pub(crate) pid_table: Option<(Arc<ShardedPidTable>, usize)>,
-    /// The machine-wide OOM single-flight guard, when SMP. `None` keeps
-    /// [`Kernel::oom_kill_guarded`] unconditional, like the single-kernel
-    /// machine.
-    pub(crate) oom_guard: Option<Arc<OomGuard>>,
+    /// The machine-wide PID table; this cell's home shard is `cell`.
+    pub(crate) pid_table: Arc<ShardedPidTable>,
+    /// This kernel's cell index on its machine (its home PID shard).
+    pub(crate) cell: usize,
+    /// The machine-wide OOM guard.
+    pub(crate) oom_guard: Arc<OomGuard>,
 }
 
-/// The services one multi-cell (SMP) machine shares across its cells:
-/// every cell is a [`Kernel`] on its own OS thread, drawing frames from
-/// one pool, PIDs from one striped table, shootdowns over one
-/// interconnect, and OOM decisions through one single-flight guard.
+/// The services a machine shares across its cells: every cell is a
+/// [`Kernel`], possibly on its own OS thread, drawing frames from one
+/// pool, PIDs from one striped table, shootdowns over one interconnect,
+/// and OOM kills through one guard. A single-kernel machine
+/// ([`Kernel::new`]) is the one cell of its own `SmpShared`.
 ///
 /// Build one `SmpShared`, then boot each cell with [`Kernel::new_smp`].
 #[derive(Debug, Clone)]
@@ -137,7 +135,7 @@ pub struct SmpShared {
     pub pids: Arc<ShardedPidTable>,
     /// The TLB-shootdown interconnect.
     pub tlb: Arc<TlbBus>,
-    /// The OOM-killer single-flight guard.
+    /// The OOM-killer guard (kill epoch and lease).
     pub oom: Arc<OomGuard>,
 }
 
@@ -155,16 +153,47 @@ impl SmpShared {
 }
 
 impl Kernel {
-    /// Boots a machine.
+    /// Boots a machine: cell 0 of a one-cell machine of its own, with no
+    /// frame magazine, so every frame is taken from the pool directly.
     pub fn new(cfg: MachineConfig) -> Kernel {
-        let mut phys = PhysMemory::new(cfg.frames, cfg.cost);
+        let shared = SmpShared::new(&cfg, 1);
+        let phys = PhysMemory::on_pool(Arc::clone(&shared.pool), cfg.cost.clone());
+        Kernel::new_cell(&cfg, &shared, 0, phys)
+    }
+
+    /// Boots with the default configuration.
+    pub fn boot() -> Kernel {
+        Kernel::new(MachineConfig::default())
+    }
+
+    /// Boots cell `cell` of a multi-cell machine: a full kernel whose
+    /// physical memory is a magazine over `shared.pool`, whose PIDs come
+    /// from `shared.pids` (home shard `cell`), whose remote shootdowns
+    /// serialize on `shared.tlb`, and whose OOM kills go through
+    /// `shared.oom`. Everything else (process table, VFS, scheduler) is
+    /// private to the cell, so cells only meet at the explicitly shared
+    /// services — exactly where real SMP kernels contend.
+    pub fn new_smp(cfg: MachineConfig, shared: &SmpShared, cell: usize) -> Kernel {
+        let phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost.clone());
+        Kernel::new_cell(&cfg, shared, cell, phys)
+    }
+
+    /// Assembles cell `cell` of `shared` around its physical memory.
+    fn new_cell(
+        cfg: &MachineConfig,
+        shared: &SmpShared,
+        cell: usize,
+        mut phys: PhysMemory,
+    ) -> Kernel {
         phys.set_swap_capacity(cfg.swap_slots);
+        let mut tlb = TlbModel::new();
+        tlb.bus = Arc::clone(&shared.tlb);
         let mut commit = CommitAccount::new(cfg.overcommit, cfg.frames);
         // CommitLimit = ratio * RAM + SwapTotal (Linux `Never` mode).
         commit.set_swap_pages(cfg.swap_slots);
         Kernel {
             phys,
-            tlb: TlbModel::new(),
+            tlb,
             cycles: Cycles::new(),
             clock: Clock::new(),
             commit,
@@ -184,55 +213,26 @@ impl Kernel {
             shrinkers: Vec::new(),
             reclaim_stats: crate::reclaim::ReclaimStats::default(),
             thp: cfg.thp,
-            pid_table: None,
-            oom_guard: None,
+            pid_table: Arc::clone(&shared.pids),
+            cell,
+            oom_guard: Arc::clone(&shared.oom),
         }
     }
 
-    /// Boots with the default configuration.
-    pub fn boot() -> Kernel {
-        Kernel::new(MachineConfig::default())
-    }
-
-    /// Boots cell `cell` of a multi-cell machine: a full kernel whose
-    /// physical memory is a magazine over `shared.pool`, whose PIDs come
-    /// from `shared.pids` (home shard `cell`), whose remote shootdowns
-    /// serialize on `shared.tlb`, and whose OOM kills go through
-    /// `shared.oom`. Everything else (process table, VFS, scheduler) is
-    /// private to the cell, so cells only meet at the explicitly shared
-    /// services — exactly where real SMP kernels contend.
-    pub fn new_smp(cfg: MachineConfig, shared: &SmpShared, cell: usize) -> Kernel {
-        let mut k = Kernel::new(cfg.clone());
-        let mut phys = PhysMemory::new_cell(Arc::clone(&shared.pool), cfg.cost);
-        phys.set_swap_capacity(cfg.swap_slots);
-        k.phys = phys;
-        k.tlb.bus = Some(Arc::clone(&shared.tlb));
-        k.pid_table = Some((Arc::clone(&shared.pids), cell));
-        k.oom_guard = Some(Arc::clone(&shared.oom));
-        k
-    }
-
-    /// Allocates a PID: from the machine-wide table when this kernel is
-    /// an SMP cell (adopting it into the private allocator so per-cell
-    /// invariants keep holding), from the private allocator otherwise.
+    /// Allocates a PID from the machine-wide table (home shard first),
+    /// adopting it into the cell's own allocator so per-cell invariants
+    /// keep holding.
     pub(crate) fn alloc_pid(&mut self) -> KResult<Pid> {
-        match self.pid_table.as_ref() {
-            Some((table, home)) => {
-                let pid = table.alloc(*home)?;
-                self.pids.adopt(pid);
-                Ok(pid)
-            }
-            None => self.pids.alloc(),
-        }
+        let pid = self.pid_table.alloc(self.cell)?;
+        self.pids.adopt(pid);
+        Ok(pid)
     }
 
-    /// Frees a PID allocated by [`Kernel::alloc_pid`], returning it to
-    /// the machine-wide table as well when SMP.
+    /// Frees a PID allocated by [`Kernel::alloc_pid`], in the cell and in
+    /// the machine-wide table.
     pub(crate) fn free_pid(&mut self, pid: Pid) {
         self.pids.free(pid);
-        if let Some((table, _)) = self.pid_table.as_ref() {
-            table.free(pid);
-        }
+        self.pid_table.free(pid);
     }
 
     /// Charges one syscall entry/exit.

@@ -56,7 +56,7 @@ pub use pgroup::{Pgid, Sid};
 pub use pid::{Pid, ShardedPidTable, Tid};
 pub use reclaim::{ReclaimStats, Shrinker, ShrinkerHandle};
 pub use rlimit::{Resource, Rlimit, RlimitSet};
-pub use sched::{PerCpuQueues, Scheduler, Task};
+pub use sched::{Scheduler, Task};
 pub use signal::{Disposition, HandlerId, Sig, SignalState};
 pub use stdio::{BufMode, UserStream};
 pub use sync::{LockId, LockTable};

@@ -7,6 +7,7 @@ use crate::signal::{DefaultAction, Disposition, Sig};
 use crate::task::{ProcState, SpaceRef};
 use fpr_trace::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Exit status the OOM killer assigns (128 + SIGKILL).
 pub const OOM_EXIT_STATUS: i32 = 137;
@@ -332,21 +333,14 @@ impl Kernel {
     }
 
     /// The OOM killer, routed through the machine-wide single-flight
-    /// guard when this kernel is an SMP cell. `observed_epoch` is the
-    /// guard epoch the caller read ([`Kernel::oom_epoch`]) when it first
-    /// hit `ENOMEM`: if another cell has killed since (the epoch moved),
-    /// or pressure has already cleared, or a concurrent attempt wins the
-    /// epoch race, no second process dies — the caller gets
-    /// [`OomDecision::Raced`] / [`OomDecision::Relieved`] and should
-    /// simply retry its allocation. Without a guard (the single-kernel
-    /// machine) this is exactly [`Kernel::oom_kill`].
+    /// guard. `observed_epoch` is the guard epoch the caller read
+    /// ([`Kernel::oom_epoch`]) when it first hit `ENOMEM`: if another
+    /// cell has killed since (the epoch moved), or pressure has already
+    /// cleared, or a concurrent attempt wins the epoch race, no second
+    /// process dies — the caller gets [`OomDecision::Raced`] /
+    /// [`OomDecision::Relieved`] and should simply retry its allocation.
     pub fn oom_kill_guarded(&mut self, observed_epoch: u64) -> OomDecision {
-        let Some(guard) = self.oom_guard.clone() else {
-            return match self.oom_kill() {
-                Some(pid) => OomDecision::Killed(pid),
-                None => OomDecision::NoVictim,
-            };
-        };
+        let guard = Arc::clone(&self.oom_guard);
         // Re-check under the shared pool's pressure: a kill on another
         // cell frees frames machine-wide, and killing again on stale
         // information is exactly the double-fire this guard exists to
@@ -359,7 +353,7 @@ impl Kernel {
         // means another cell is mid-kill (or died mid-kill and has not
         // been recovered): treat it like losing the epoch race — retry
         // the allocation rather than stacking a second victim.
-        let cell = self.cell_id().unwrap_or(0);
+        let cell = self.cell;
         if !guard.try_lease(cell) {
             metrics::incr("kernel.oom.raced");
             return OomDecision::Raced;
@@ -377,10 +371,10 @@ impl Kernel {
         decision
     }
 
-    /// This kernel's SMP cell index (its home PID shard), `None` on a
-    /// single-kernel machine.
-    pub fn cell_id(&self) -> Option<usize> {
-        self.pid_table.as_ref().map(|&(_, cell)| cell)
+    /// This kernel's cell index on its machine (its home PID shard); 0
+    /// on a single-kernel machine.
+    pub fn cell_id(&self) -> usize {
+        self.cell
     }
 
     /// Evacuates a fail-stopped cell: kills every process (including
@@ -428,10 +422,9 @@ impl Kernel {
         Ok(evacuated)
     }
 
-    /// The OOM guard epoch to observe before attempting a guarded kill
-    /// (0 on a single-kernel machine, where the guard is absent).
+    /// The OOM guard epoch to observe before attempting a guarded kill.
     pub fn oom_epoch(&self) -> u64 {
-        self.oom_guard.as_ref().map_or(0, |g| g.epoch())
+        self.oom_guard.epoch()
     }
 
     /// The OOM killer: kills the process with the highest badness (see

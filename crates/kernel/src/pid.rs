@@ -1,9 +1,8 @@
 //! Process and thread identifier allocation.
 //!
-//! Two layers: [`PidAllocator`] is the classic single-kernel bitmap, and
-//! [`ShardedPidTable`] stripes the PID space across several independently
-//! locked allocators so concurrent creators on different cells rarely
-//! touch the same lock — fork storms serialize on the memory subsystem,
+//! Two layers: [`PidAllocator`] is one bitmap, and [`ShardedPidTable`]
+//! stripes the PID space across several independently locked allocators
+//! so concurrent creators on different cells rarely touch the same lock — fork storms serialize on the memory subsystem,
 //! not on handing out numbers. Each shard's lock is a
 //! [`fpr_trace::smp::VLock`] named `"pid"`, so residual contention (the
 //! overflow scan when a home shard runs dry) is visible in
@@ -49,17 +48,11 @@ impl PidAllocator {
     /// Allocates the next free PID, wrapping at `max`.
     ///
     /// Fails with [`Errno::Eagain`] when the PID space is exhausted —
-    /// the error a fork bomb eventually sees.
+    /// the error a fork bomb eventually sees. Crosses no fault site:
+    /// [`ShardedPidTable::alloc`] crosses it once per machine-wide
+    /// allocation, so an injected fault is never masked by the overflow
+    /// scan over shards.
     pub fn alloc(&mut self) -> KResult<Pid> {
-        fpr_faults::cross(FaultSite::PidAlloc).map_err(|_| Errno::Eagain)?;
-        self.alloc_inner()
-    }
-
-    /// The allocation body, after the fault site. [`ShardedPidTable`]
-    /// crosses the site once per machine-wide allocation (so an injected
-    /// fault is never masked by the overflow scan) and then calls this on
-    /// each candidate shard.
-    fn alloc_inner(&mut self) -> KResult<Pid> {
         if self.in_use.len() as u32 >= self.max {
             return Err(Errno::Eagain);
         }
@@ -122,9 +115,9 @@ impl PidAllocator {
 /// 1, 5, 9, …; shard 1 hands out 2, 6, 10, …. Each cell allocates from
 /// its *home* shard first and only scans the others when that shard is
 /// exhausted, so uncontended creation storms never collide on a lock.
-/// Every shard reuses [`PidAllocator`] underneath, so allocation crosses
-/// the same [`FaultSite::PidAlloc`] site as the single-kernel path and
-/// exhaustion surfaces as the same [`Errno::Eagain`].
+/// Every shard is a [`PidAllocator`] underneath. A one-cell machine's
+/// table has a single shard and hands out 1, 2, 3, … exactly like one
+/// bitmap.
 #[derive(Debug)]
 pub struct ShardedPidTable {
     shards: Vec<VLock<PidAllocator>>,
@@ -167,15 +160,15 @@ impl ShardedPidTable {
 
     /// Allocates a PID, trying the caller's home shard first and scanning
     /// the others only on exhaustion. Crosses [`FaultSite::PidAlloc`]
-    /// exactly once, like the single-kernel path. Fails with
-    /// [`Errno::Eagain`] when every shard is dry.
+    /// exactly once. Fails with [`Errno::Eagain`] when every shard is
+    /// dry.
     pub fn alloc(&self, home: usize) -> KResult<Pid> {
         fpr_faults::cross(FaultSite::PidAlloc).map_err(|_| Errno::Eagain)?;
         let n = self.shards.len();
         let mut last = Err(Errno::Eagain);
         for i in 0..n {
             let s = (home + i) % n;
-            match self.shards[s].lock().alloc_inner() {
+            match self.shards[s].lock().alloc() {
                 Ok(inner) => return Ok(self.global_pid(s, inner)),
                 Err(e) => last = Err(e),
             }

@@ -155,7 +155,7 @@ impl Kernel {
         // mid-spawn holding the lock) and empty ones sit the pass out —
         // after a bounded, jittered re-poll on the SMP machine, where
         // "busy" usually means another cell's short spawn window.
-        let attempts = if self.pid_table.is_some() {
+        let attempts = if self.pid_table.shard_count() > 1 {
             SHRINKER_LOCK_ATTEMPTS
         } else {
             1
@@ -558,7 +558,7 @@ mod tests {
             frames: 256,
             ..MachineConfig::default()
         };
-        let shared = crate::kernel::SmpShared::new(&cfg, 1);
+        let shared = crate::kernel::SmpShared::new(&cfg, 2);
         let mut k = Kernel::new_smp(cfg, &shared, 0);
         let bag = bag_with(&mut k, 4);
         k.register_shrinker(&(bag.clone() as ShrinkerHandle));

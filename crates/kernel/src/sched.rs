@@ -1,18 +1,11 @@
-//! A round-robin scheduler over simulated threads, plus per-CPU run
-//! queues for the SMP driver.
+//! A round-robin scheduler over simulated threads.
 //!
-//! [`Scheduler`] is the original deterministic global queue; it gives the
-//! examples and the fork-scaling experiment a stable notion of "which
-//! threads are on CPUs right now", which feeds the TLB-shootdown cost (a
-//! fork must interrupt every CPU running the parent). It is deliberately
-//! untouched by the SMP work — its answers feed simulated costs, so any
-//! restructuring would change every experiment's byte-exact output.
-//!
-//! [`PerCpuQueues`] is the SMP-era design the paper's scaling argument
-//! assumes the competition has: each CPU owns a private run queue and
-//! only touches another CPU's queue to steal work when its own runs dry.
-//! Uncontended enqueue/dequeue therefore never serializes, unlike the
-//! single global queue.
+//! [`Scheduler`] is a deterministic global queue; it gives the examples
+//! and the fork-scaling experiment a stable notion of "which threads are
+//! on CPUs right now", which feeds the TLB-shootdown cost (a fork must
+//! interrupt every CPU running the parent). Its answers feed simulated
+//! costs, so any restructuring would change every experiment's
+//! byte-exact output.
 
 use crate::pid::{Pid, Tid};
 use std::collections::VecDeque;
@@ -111,94 +104,6 @@ impl Scheduler {
     }
 }
 
-/// Per-CPU run queues with work stealing.
-///
-/// Each CPU pushes and pops at the front of its own queue (LIFO for cache
-/// warmth, like Linux's wake-affine placement); an idle CPU steals from
-/// the **back** of the longest other queue, so thieves and owners touch
-/// opposite ends. The structure is single-threadedly deterministic — the
-/// SMP driver wraps whole cells in a lock, so this models the *policy*
-/// (who scans whose queue) rather than lock-free mechanics.
-#[derive(Debug)]
-pub struct PerCpuQueues {
-    queues: Vec<VecDeque<Task>>,
-    steals: u64,
-}
-
-impl PerCpuQueues {
-    /// Creates `ncpus` empty queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ncpus` is zero.
-    pub fn new(ncpus: u32) -> PerCpuQueues {
-        assert!(ncpus > 0, "need at least one CPU");
-        PerCpuQueues {
-            queues: (0..ncpus).map(|_| VecDeque::new()).collect(),
-            steals: 0,
-        }
-    }
-
-    /// Number of CPUs (= queues).
-    pub fn ncpus(&self) -> u32 {
-        self.queues.len() as u32
-    }
-
-    /// Enqueues a task on `cpu`'s local queue (wrapping out-of-range
-    /// CPUs, so callers can pass a raw worker index).
-    pub fn enqueue(&mut self, cpu: usize, t: Task) {
-        let n = self.queues.len();
-        self.queues[cpu % n].push_front(t);
-    }
-
-    /// Takes the next task for `cpu`: its own queue first, then a steal
-    /// from the back of the longest other queue. Returns `None` only when
-    /// every queue is empty.
-    pub fn next(&mut self, cpu: usize) -> Option<Task> {
-        let n = self.queues.len();
-        let cpu = cpu % n;
-        if let Some(t) = self.queues[cpu].pop_front() {
-            return Some(t);
-        }
-        let victim = (0..n)
-            .filter(|&q| q != cpu)
-            .max_by_key(|&q| self.queues[q].len())?;
-        let stolen = self.queues[victim].pop_back();
-        if stolen.is_some() {
-            self.steals += 1;
-        }
-        stolen
-    }
-
-    /// Number of successful steals so far — nonzero means the load was
-    /// imbalanced enough that idle CPUs went scanning.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Total queued tasks across all CPUs.
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when no CPU has queued work.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Queue depth of one CPU.
-    pub fn depth(&self, cpu: usize) -> usize {
-        self.queues[cpu % self.queues.len()].len()
-    }
-
-    /// Removes every task of a process from every queue (exit path).
-    pub fn remove_process(&mut self, pid: Pid) {
-        for q in &mut self.queues {
-            q.retain(|t| t.pid != pid);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,62 +164,5 @@ mod tests {
     #[should_panic(expected = "at least one CPU")]
     fn zero_cpus_panics() {
         Scheduler::new(0);
-    }
-
-    #[test]
-    fn per_cpu_queues_keep_local_work_local() {
-        let mut q = PerCpuQueues::new(2);
-        q.enqueue(0, t(1, 1));
-        q.enqueue(1, t(2, 2));
-        assert_eq!(q.next(0), Some(t(1, 1)));
-        assert_eq!(q.next(1), Some(t(2, 2)));
-        assert_eq!(q.steals(), 0, "local pops are not steals");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn idle_cpu_steals_from_the_longest_queue() {
-        let mut q = PerCpuQueues::new(3);
-        q.enqueue(0, t(1, 1));
-        for i in 2..=4 {
-            q.enqueue(1, t(i, i as u64));
-        }
-        // CPU 2 has nothing; it must raid CPU 1 (depth 3), not CPU 0
-        // (depth 1), and take the oldest task (the back).
-        assert_eq!(q.next(2), Some(t(2, 2)));
-        assert_eq!(q.steals(), 1);
-        assert_eq!(q.depth(1), 2);
-        assert_eq!(q.depth(0), 1);
-    }
-
-    #[test]
-    fn next_drains_everything_before_none() {
-        let mut q = PerCpuQueues::new(2);
-        q.enqueue(0, t(1, 1));
-        q.enqueue(0, t(2, 2));
-        let mut got = 0;
-        while q.next(1).is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 2);
-        assert_eq!(q.steals(), 2, "cpu 1 stole both");
-        assert_eq!(q.next(0), None);
-    }
-
-    #[test]
-    fn per_cpu_remove_process_clears_all_queues() {
-        let mut q = PerCpuQueues::new(2);
-        q.enqueue(0, t(1, 1));
-        q.enqueue(1, t(1, 2));
-        q.enqueue(1, t(2, 3));
-        q.remove_process(Pid(1));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next(0), Some(t(2, 3)), "stolen from cpu 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one CPU")]
-    fn zero_per_cpu_queues_panics() {
-        PerCpuQueues::new(0);
     }
 }

@@ -18,8 +18,9 @@ pub struct BuddyAllocator {
     total: u64,
     /// Free blocks per order, keyed by block base frame.
     free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated block bases → order, to validate frees.
-    allocated: std::collections::HashMap<u64, usize>,
+    /// Per frame offset: 1 + the order of the live allocation based
+    /// there, or 0. Validates frees without hashing.
+    allocated: Vec<u8>,
     free_frames: u64,
 }
 
@@ -33,7 +34,7 @@ impl BuddyAllocator {
             base: base.0,
             total,
             free_lists: vec![BTreeSet::new(); MAX_ORDER + 1],
-            allocated: std::collections::HashMap::new(),
+            allocated: vec![0; total as usize],
             free_frames: total,
         };
         let mut start = base.0;
@@ -85,7 +86,7 @@ impl BuddyAllocator {
             let upper = blk + (1u64 << o);
             self.free_lists[o].insert(upper);
         }
-        self.allocated.insert(blk, order);
+        self.allocated[(blk - self.base) as usize] = order as u8 + 1;
         self.free_frames -= 1u64 << order;
         Ok(Pfn(blk))
     }
@@ -93,19 +94,15 @@ impl BuddyAllocator {
     /// Allocates a `2^order` run like [`BuddyAllocator::alloc`], but
     /// records each frame of the run as its own order-0 allocation, so the
     /// caller may free frames one at a time (coalescing still reassembles
-    /// the block once all of them come back). This is the per-CPU
-    /// frame-cache refill primitive: one global-allocator acquisition
+    /// the block once all of them come back). This is the cell magazine's
+    /// refill primitive: one global-allocator acquisition
     /// yields a batch of independently-freeable frames.
     pub fn alloc_run(&mut self, order: usize) -> MemResult<Vec<Pfn>> {
         let base = self.alloc(order)?;
-        self.allocated.remove(&base.0);
         let n = 1u64 << order;
-        let mut run = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            self.allocated.insert(base.0 + i, 0);
-            run.push(Pfn(base.0 + i));
-        }
-        Ok(run)
+        let off = (base.0 - self.base) as usize;
+        self.allocated[off..off + n as usize].fill(1);
+        Ok((base.0..base.0 + n).map(Pfn).collect())
     }
 
     /// Frees a block previously returned by [`BuddyAllocator::alloc`],
@@ -116,8 +113,12 @@ impl BuddyAllocator {
     /// Panics if `pfn` is not the base of a live allocation.
     pub fn free(&mut self, pfn: Pfn) {
         let mut blk = pfn.0;
-        let mut order = match self.allocated.remove(&blk) {
-            Some(o) => o,
+        let slot = blk
+            .checked_sub(self.base)
+            .and_then(|off| self.allocated.get_mut(off as usize))
+            .filter(|o| **o > 0);
+        let mut order = match slot {
+            Some(o) => std::mem::take(o) as usize - 1,
             None => panic!("buddy free of unallocated block {}", blk),
         };
         self.free_frames += 1u64 << order;

@@ -20,23 +20,32 @@
 //!
 //! The SMP machine documents one lock order — `mm` → `pid` → `buddy` →
 //! `tlb` (ARCHITECTURE.md) — and this module *enforces* it at runtime
-//! for exactly those four names. Each thread tracks which ranked locks
-//! it holds; acquiring a ranked lock whose rank is not strictly greater
-//! than every rank already held (which also catches taking two `mm`
-//! locks at once) counts one violation in [`order_violations`] and in
+//! for exactly those four names. Each thread counts the ranked locks it
+//! holds, per rank; acquiring a ranked lock whose rank is not strictly
+//! greater than every rank already held (which also catches taking two
+//! `mm` locks at once) counts one violation in [`order_violations`] and in
 //! the `lock.order.violation` metric, then proceeds. The E17 gate
 //! asserts the counter stays at zero across every storm. Locks with any
 //! other name (tests, scratch structures) are exempt.
 //!
 //! ## Deadlock detection
 //!
-//! Ranked acquisitions that would block first register a waiting edge in
-//! a process-wide wait-for graph (thread → lock → holding thread) and
-//! look for a cycle. A cycle means the machine *would* hang; instead of
-//! hanging, the acquirer increments [`deadlocks_detected`], and panics
-//! with the full cycle — a deterministic, reportable event. The unwind
-//! releases the acquirer's own locks, so surviving threads keep running
-//! (and the test harness reports the panic instead of timing out).
+//! Each ranked lock records its holder in the lock itself: an atomic
+//! thread id, stored right after the inner mutex is taken and cleared
+//! right before it is released. An uncontended acquisition therefore
+//! touches only the lock and this thread's own state, never anything
+//! process-wide.
+//!
+//! Only an acquisition that would block registers in a process-wide
+//! wait-for graph: an entry from the waiting thread to the awaited
+//! lock's holder cell. It then follows the chain thread → holder cell →
+//! holding thread → that thread's awaited holder cell → … and looks for
+//! a cycle back to itself. A cycle means the machine *would* hang;
+//! instead of hanging, the acquirer increments [`deadlocks_detected`],
+//! and panics with the full cycle — a deterministic, reportable event.
+//! The unwind releases the acquirer's own locks, so surviving threads
+//! keep running (and the test harness reports the panic instead of
+//! timing out).
 //!
 //! ```
 //! use fpr_trace::{metrics, smp::VLock, vclock};
@@ -55,10 +64,10 @@
 //! ```
 
 use crate::{metrics, vclock};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// The documented SMP lock order; a ranked lock may only be acquired
 /// while every held ranked lock has a strictly smaller rank.
@@ -75,27 +84,54 @@ static ORDER_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of would-block cycles caught by the detector.
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
 
-/// Monotone ids: one per [`VLock`], one per thread (thread ids are
-/// assigned lazily, the first time a thread touches a ranked lock).
-static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
+/// Monotone thread ids, assigned lazily the first time a thread touches
+/// a ranked lock. Zero is never assigned: a holder cell reading zero
+/// means "free".
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    /// Ranked locks this thread currently holds, as `(lock id, rank)`.
-    static HELD: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
-    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+/// One thread's ranked-lock state.
+struct ThreadLocks {
+    /// This thread's id, 0 until first assigned.
+    id: Cell<u64>,
+    /// How many ranked locks of each rank this thread holds.
+    held: Cell<[u32; LOCK_ORDER.len()]>,
 }
 
-/// The process-wide wait-for graph over *ranked* locks: who holds what,
-/// who is blocked on what. Edges are only mutated under the graph mutex,
-/// so a cycle found while holding it is a consistent snapshot: every
-/// thread on the cycle holds its lock and has registered its wait.
+thread_local! {
+    static THREAD: ThreadLocks = const {
+        ThreadLocks {
+            id: Cell::new(0),
+            held: Cell::new([0; LOCK_ORDER.len()]),
+        }
+    };
+}
+
+/// Adds `delta` to this thread's count of held locks of `rank`.
+fn note_held(rank: usize, delta: i32) {
+    THREAD.with(|t| {
+        let mut held = t.held.get();
+        held[rank] = held[rank].wrapping_add_signed(delta);
+        t.held.set(held);
+    });
+}
+
+/// The process-wide wait-for graph: which thread is blocked on which
+/// lock, named by that lock's holder cell. Entries are only added and
+/// removed under the graph mutex.
+///
+/// A cycle found while holding the mutex is a consistent snapshot even
+/// though holder cells change outside it. Every thread on the cycle is a
+/// registered waiter, and a registered waiter can neither release a lock
+/// (it is parked inside an acquisition) nor deregister (that takes the
+/// graph mutex) while the finder holds the mutex. So each holder cell on
+/// the cycle names a thread that is still blocked and still holds that
+/// lock: its last write to the cell, made before it registered, is
+/// visible to the finder through the mutex, and no other thread writes
+/// its id there.
 #[derive(Default)]
 struct WaitGraph {
-    /// lock id → (holder thread id, lock name).
-    holders: BTreeMap<u64, (u64, &'static str)>,
-    /// thread id → (lock id it is blocked on, lock name).
-    waiting: BTreeMap<u64, (u64, &'static str)>,
+    /// thread id → (holder cell of the lock it is blocked on, lock name).
+    waiting: BTreeMap<u64, (Arc<AtomicU64>, &'static str)>,
 }
 
 impl WaitGraph {
@@ -105,9 +141,9 @@ impl WaitGraph {
         let mut path = Vec::new();
         let mut cur = start;
         loop {
-            let &(lock, name) = self.waiting.get(&cur)?;
-            path.push(name);
-            let &(holder, _) = self.holders.get(&lock)?;
+            let (cell, name) = self.waiting.get(&cur)?;
+            path.push(*name);
+            let holder = cell.load(Ordering::Acquire);
             if holder == start {
                 return Some(path);
             }
@@ -119,13 +155,10 @@ impl WaitGraph {
     }
 }
 
-fn wait_graph() -> &'static Mutex<WaitGraph> {
+fn graph_lock() -> MutexGuard<'static, WaitGraph> {
     static GRAPH: OnceLock<Mutex<WaitGraph>> = OnceLock::new();
-    GRAPH.get_or_init(|| Mutex::new(WaitGraph::default()))
-}
-
-fn graph_lock() -> std::sync::MutexGuard<'static, WaitGraph> {
-    wait_graph()
+    GRAPH
+        .get_or_init(|| Mutex::new(WaitGraph::default()))
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -151,9 +184,12 @@ pub fn deadlocks_detected() -> u64 {
 #[derive(Debug, Default)]
 pub struct VLock<T> {
     name: &'static str,
-    /// Unique id for the wait-for graph (0 for unranked locks, which
-    /// never enter the graph).
-    id: u64,
+    /// Rank in the documented order; `None` for exempt names, which
+    /// skip order checks and deadlock detection.
+    rank: Option<usize>,
+    /// Id of the thread holding the lock, 0 when free (ranked locks
+    /// only). Shared with the wait-for graph entries of its waiters.
+    holder: Arc<AtomicU64>,
     /// Virtual time at which the last holder released the lock.
     free_at: AtomicU64,
     inner: Mutex<T>,
@@ -162,14 +198,10 @@ pub struct VLock<T> {
 impl<T> VLock<T> {
     /// Wraps `value` in a lock whose contention is recorded under `name`.
     pub fn new(name: &'static str, value: T) -> VLock<T> {
-        let id = if rank_of(name).is_some() {
-            NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed)
-        } else {
-            0
-        };
         VLock {
             name,
-            id,
+            rank: rank_of(name),
+            holder: Arc::default(),
             free_at: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
@@ -184,8 +216,8 @@ impl<T> VLock<T> {
     /// lock's release time and recording the wait if it had to "spin".
     ///
     /// For the four ranked names the acquisition also checks the
-    /// documented lock order and registers in the wait-for graph; see
-    /// the module docs.
+    /// documented lock order and, if it would block, registers in the
+    /// wait-for graph; see the module docs.
     ///
     /// Poisoning is ignored: the simulated kernel's own invariants are
     /// checked explicitly at quiesce, and a panicking test thread must
@@ -196,8 +228,7 @@ impl<T> VLock<T> {
     /// Panics (deterministically, with the cycle) if blocking here would
     /// deadlock the machine.
     pub fn lock(&self) -> VLockGuard<'_, T> {
-        let rank = rank_of(self.name);
-        let guard = match rank {
+        let guard = match self.rank {
             None => self
                 .inner
                 .lock()
@@ -210,54 +241,58 @@ impl<T> VLock<T> {
             vclock::advance_to(free_at);
             metrics::lock_contended(self.name, free_at - now);
         }
-        VLockGuard {
-            lock: self,
-            ranked: rank.is_some(),
-            guard,
-        }
+        VLockGuard { lock: self, guard }
     }
 
-    /// The ranked path: order check, then acquire with the wait-for
-    /// graph kept current so a would-block cycle is caught.
+    /// The ranked path: order check, then acquire; only an acquisition
+    /// that would block enters the wait-for graph.
     fn lock_ranked(&self, rank: usize) -> MutexGuard<'_, T> {
-        HELD.with(|h| {
-            let held = h.borrow();
-            if held.iter().any(|&(_, r)| r >= rank) {
+        let me = THREAD.with(|t| {
+            if t.held.get()[rank..].iter().any(|&n| n > 0) {
                 ORDER_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
                 metrics::incr("lock.order.violation");
             }
+            if t.id.get() == 0 {
+                t.id.set(NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed));
+            }
+            t.id.get()
         });
-        let me = THREAD_ID.with(|&t| t);
         let guard = match self.inner.try_lock() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                {
-                    let mut g = graph_lock();
-                    g.waiting.insert(me, (self.id, self.name));
-                    if let Some(cycle) = g.find_cycle(me) {
-                        g.waiting.remove(&me);
-                        drop(g);
-                        DEADLOCKS.fetch_add(1, Ordering::Relaxed);
-                        metrics::incr("lock.deadlock.detected");
-                        panic!(
-                            "deadlock detected: blocking on \"{}\" closes the wait cycle [{}]",
-                            self.name,
-                            cycle.join(" -> ")
-                        );
-                    }
-                }
+                self.register_wait(me);
                 let guard = self
                     .inner
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+                // Deregister before publishing ourselves as holder, so a
+                // registered waiter never names the lock it already got.
                 graph_lock().waiting.remove(&me);
                 guard
             }
         };
-        graph_lock().holders.insert(self.id, (me, self.name));
-        HELD.with(|h| h.borrow_mut().push((self.id, rank)));
+        self.holder.store(me, Ordering::Release);
+        note_held(rank, 1);
         guard
+    }
+
+    /// Registers `me` as blocked on this lock, panicking instead if that
+    /// closes a wait cycle.
+    fn register_wait(&self, me: u64) {
+        let mut g = graph_lock();
+        g.waiting.insert(me, (Arc::clone(&self.holder), self.name));
+        if let Some(cycle) = g.find_cycle(me) {
+            g.waiting.remove(&me);
+            drop(g);
+            DEADLOCKS.fetch_add(1, Ordering::Relaxed);
+            metrics::incr("lock.deadlock.detected");
+            panic!(
+                "deadlock detected: blocking on \"{}\" closes the wait cycle [{}]",
+                self.name,
+                cycle.join(" -> ")
+            );
+        }
     }
 
     /// Consumes the lock, returning the inner value.
@@ -272,7 +307,6 @@ impl<T> VLock<T> {
 /// from the holder's virtual clock on drop.
 pub struct VLockGuard<'a, T> {
     lock: &'a VLock<T>,
-    ranked: bool,
     guard: MutexGuard<'a, T>,
 }
 
@@ -294,12 +328,12 @@ impl<T> Drop for VLockGuard<'_, T> {
         // Store before the mutex is released (the field drops after this
         // body), so the next acquirer always observes our release time.
         self.lock.free_at.store(vclock::now(), Ordering::Release);
-        if self.ranked {
-            // Drop the graph/held entries before the mutex releases too:
-            // a holder entry present implies the mutex is genuinely held,
-            // which is what makes a found cycle trustworthy.
-            graph_lock().holders.remove(&self.lock.id);
-            HELD.with(|h| h.borrow_mut().retain(|&(id, _)| id != self.lock.id));
+        if let Some(rank) = self.lock.rank {
+            // Clear the holder cell before the mutex releases too: a
+            // nonzero cell implies the mutex is genuinely held, which is
+            // what makes a found cycle trustworthy.
+            self.lock.holder.store(0, Ordering::Release);
+            note_held(rank, -1);
         }
     }
 }
@@ -471,5 +505,69 @@ mod tests {
             msg.contains("deadlock detected"),
             "panic names the event: {msg}"
         );
+    }
+
+    #[test]
+    fn three_thread_wait_cycle_is_found_through_every_holder_cell() {
+        use std::sync::Barrier;
+        let _s = serial();
+        let locks: Vec<Arc<VLock<u32>>> = (0..3).map(|_| Arc::new(VLock::new("mm", 0))).collect();
+        let gate = Arc::new(Barrier::new(3));
+        let before = deadlocks_detected();
+        // Thread i holds lock i, then blocks on lock i+1 (mod 3): the
+        // last thread to block closes a three-hop cycle, found only by
+        // following each awaited lock's holder cell to its holder's own
+        // registered wait.
+        // Each thread signals on exit, panicking or not, so a detector
+        // that misses the cycle fails the test instead of hanging it.
+        struct Done(std::sync::mpsc::Sender<()>);
+        impl Drop for Done {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..3)
+            .map(|i| {
+                let first = Arc::clone(&locks[i]);
+                let second = Arc::clone(&locks[(i + 1) % 3]);
+                let gate = Arc::clone(&gate);
+                let done = Done(tx.clone());
+                std::thread::spawn(move || {
+                    let _done = done;
+                    let _g1 = first.lock();
+                    gate.wait();
+                    let _g2 = second.lock();
+                })
+            })
+            .collect();
+        for _ in 0..3 {
+            rx.recv_timeout(std::time::Duration::from_secs(30))
+                .expect("wait cycle went undetected: the threads are deadlocked");
+        }
+        let results: Vec<_> = threads.into_iter().map(|t| t.join()).collect();
+        let panicked: Vec<_> = results.into_iter().filter_map(Result::err).collect();
+        assert_eq!(
+            panicked.len(),
+            1,
+            "exactly one thread panics out of the cycle; its unwind frees the other two"
+        );
+        assert_eq!(deadlocks_detected(), before + 1);
+        let msg = panicked[0]
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("[mm -> mm -> mm]"),
+            "the reported cycle has all three hops: {msg}"
+        );
+        for l in &locks {
+            assert_eq!(
+                l.holder.load(Ordering::Relaxed),
+                0,
+                "every holder cell cleared"
+            );
+        }
+        assert!(graph_lock().waiting.is_empty(), "no waiter left registered");
     }
 }
